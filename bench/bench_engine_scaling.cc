@@ -29,11 +29,7 @@
 // connections, the shed rate of a deliberately overloaded server
 // (max_inflight = 1), and the `net_matches_inprocess` self-check — every
 // TCP reply byte-identical to an in-process Session — which fails the run
-// like the other verdicts. The shard panel prices scatter-gather
-// execution (src/shard/): search-batch qps and p50/p99 at 1/2/4 shards
-// with 1 thread per request, plus the `shard_matches_unsharded`
-// self-check — every sharded batch and self-join byte-identical to the
-// unsharded reference. `--json FILE` additionally dumps the timings
+// like the other verdicts. `--json FILE` additionally dumps the timings
 // machine-readably; BENCH_engine.json at the repo root is a committed
 // baseline produced this way (see docs/BENCHMARKS.md for the protocol).
 
@@ -51,7 +47,6 @@
 #include "api/db.h"
 #include "api/writer.h"
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "datagen/binary_vectors.h"
@@ -1096,171 +1091,13 @@ NetPanel RunNetPanel() {
   return panel;
 }
 
-// Shard panel: scatter-gather execution (src/shard/) priced against the
-// unsharded path. The same Hamming dataset opens at S = 1/2/4 shards
-// (1 thread per request, so parallelism comes purely from the per-shard
-// executors running concurrently); two client threads issue search
-// batches back-to-back, recording per-request latency into per-client
-// histograms reduced with MergedHistogram. Self-check
-// `shard_matches_unsharded`: every batch's ids and every self-join's
-// pairs at every S must equal the S = 1 reference — recorded in the
-// JSON, and main() exits nonzero after writing it on a mismatch.
-//
-// The workload is tuned so per-query cost is dominated by postings,
-// chain checks, and verification — work proportional to shard size,
-// the regime scatter-gather scales: dense clusters (many candidates
-// per query) and uniform threshold allocation. The cost-model
-// allocator instead reads full-index statistics on every query — a
-// fixed cost each shard would repeat S times (its sharded identity is
-// shard_test's job, not a throughput story). Rows that need more
-// compute threads than the machine has are flagged `oversubscribed`
-// (same contract as the domain timings): there flat-or-worse speedup
-// is expected, and only a multi-core runner shows the scatter win.
-struct ShardRow {
-  int shards = 0;
-  double wall_millis = 0;
-  double qps = 0;  // queries served per second, all clients combined
-  double p50_millis = 0;
-  double p99_millis = 0;
-  bool oversubscribed = false;  // compute threads > hardware threads
-};
-
-struct ShardPanel {
-  int queries_per_request = 0;
-  int requests_per_client = 0;
-  std::vector<ShardRow> rows;
-  bool shard_matches_unsharded = false;
-};
-
-ShardPanel RunShardPanel() {
-  // Dense clusters: ~120 members each, intra-cluster distance ~12, so a
-  // tau = 12 query surfaces tens-to-hundreds of candidates and the
-  // per-shard loops spend their time on postings + verification.
-  datagen::BinaryVectorConfig config;
-  config.dimensions = 128;
-  config.num_objects = bench::Scaled(120000);
-  config.num_clusters = bench::Scaled(800);
-  config.cluster_fraction = 0.8;
-  config.flip_rate = 0.05;
-  config.bit_bias = 0.3;
-  config.seed = 9001;
-  const auto objects = datagen::GenerateBinaryVectors(config);
-
-  ShardPanel panel;
-  // Requests are deliberately heavy (hundreds of queries) so the
-  // per-shard compute dominates the scatter dispatch overhead; tiny
-  // batches measure the latch, not the sharding.
-  panel.queries_per_request = bench::Scaled(2000);
-  panel.requests_per_client = 8;
-  std::vector<api::Query> request;
-  {
-    Rng rng(9011);
-    for (int i = 0; i < panel.queries_per_request; ++i) {
-      request.push_back(
-          objects[rng.NextBounded(static_cast<uint64_t>(objects.size()))]);
-    }
-  }
-
-  api::IndexSpec spec;
-  spec.domain = api::Domain::kHamming;
-  spec.tau = 12;
-  spec.chain_length = 4;
-  spec.allocation = hamming::AllocationMode::kUniform;
-  spec.num_threads = 1;
-
-  // The S = 1 reference every sharded answer must reproduce exactly.
-  std::vector<std::vector<int>> reference_ids;
-  std::vector<api::IdPair> reference_pairs;
-  {
-    const api::Db db = bench::BenchUnwrap(
-        api::Db::Open(spec, api::Dataset(objects)), "open unsharded");
-    api::Session session = db.NewSession();
-    reference_ids = bench::BenchUnwrap(session.SearchBatch(request),
-                                       "reference batch")
-                        .ids;
-    reference_pairs =
-        bench::BenchUnwrap(session.SelfJoin(), "reference join").pairs;
-  }
-
-  bool matches = true;
-  for (int shards : {1, 2, 4}) {
-    api::IndexSpec sharded = spec;
-    sharded.shards = shards;
-    const api::Db db = bench::BenchUnwrap(
-        api::Db::Open(sharded, api::Dataset(objects)), "open sharded");
-    if (shards == 4) {
-      // Join identity once, at the deepest fan-out (every batch below is
-      // still checked at every S; all-domain all-S join identity is
-      // shard_test's job).
-      api::Session session = db.NewSession();
-      const auto join =
-          bench::BenchUnwrap(session.SelfJoin(), "sharded join");
-      if (join.pairs != reference_pairs) matches = false;
-    }
-    const int kClients = 2;
-    std::vector<Histogram> latencies(kClients);
-    std::atomic<bool> ok(true);
-    StopWatch wall;
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(kClients);
-      for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&, c] {
-          api::Session session = db.NewSession();
-          for (int r = 0; r < panel.requests_per_client; ++r) {
-            StopWatch request_watch;
-            auto batch = session.SearchBatch(request);
-            latencies[c].Record(request_watch.ElapsedMillis() * 1000.0);
-            if (!batch.ok() || batch->ids != reference_ids) ok.store(false);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-    }
-    if (!ok.load()) matches = false;
-    const Histogram merged = MergedHistogram(latencies);
-    ShardRow row;
-    row.shards = shards;
-    // Unsharded requests compute on the client threads; sharded requests
-    // compute on the per-shard executor workers.
-    row.oversubscribed = static_cast<unsigned>(std::max(shards, kClients)) >
-                         std::thread::hardware_concurrency();
-    row.wall_millis = wall.ElapsedMillis();
-    row.p50_millis = merged.P50() / 1000.0;
-    row.p99_millis = merged.P99() / 1000.0;
-    row.qps = static_cast<double>(merged.count()) *
-              panel.queries_per_request /
-              std::max(1e-9, row.wall_millis) * 1000.0;
-    panel.rows.push_back(row);
-  }
-  panel.shard_matches_unsharded = matches;
-
-  Table out("shard panel: scatter-gather execution vs unsharded "
-            "(hamming search batches, 2 clients, 1 thread per request)",
-            {"shards", "wall (ms)", "queries/s", "p50 (ms)", "p99 (ms)",
-             "vs unsharded", "oversub", "identity"});
-  for (const ShardRow& row : panel.rows) {
-    out.AddRow({Table::Int(row.shards), Table::Num(row.wall_millis, 1),
-                Table::Num(row.qps, 0), Table::Num(row.p50_millis, 3),
-                Table::Num(row.p99_millis, 3),
-                Table::Num(row.qps / std::max(1e-9, panel.rows.front().qps),
-                           2) +
-                    "x",
-                row.oversubscribed ? "yes" : "no",
-                panel.shard_matches_unsharded ? "ok" : "DIVERGED"});
-  }
-  out.Print();
-  std::printf("\n");
-  return panel;
-}
-
 void WriteJson(const std::string& path,
                const std::vector<DomainResult>& results,
                const KernelPanel& kernel, const FacadePanel& facade,
                const ClientsPanel& clients,
                const std::vector<StorageRow>& storage,
                const FastPathPanel& fastpath, const ChurnPanel& churn,
-               const NetPanel& net, const ShardPanel& shard) {
+               const NetPanel& net) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -1356,22 +1193,6 @@ void WriteJson(const std::string& path,
                net.overload_attempts, net.overload_shed,
                net.overload_shed_rate,
                net.net_matches_inprocess ? "true" : "false");
-  std::fprintf(f,
-               "  \"shard_panel\": {\"queries_per_request\": %d, "
-               "\"requests_per_client\": %d, \"rows\": [",
-               shard.queries_per_request, shard.requests_per_client);
-  for (size_t i = 0; i < shard.rows.size(); ++i) {
-    const ShardRow& row = shard.rows[i];
-    std::fprintf(f,
-                 "%s{\"shards\": %d, \"wall_millis\": %.3f, \"qps\": %.1f, "
-                 "\"p50_millis\": %.4f, \"p99_millis\": %.4f, "
-                 "\"oversubscribed\": %s}",
-                 i == 0 ? "" : ", ", row.shards, row.wall_millis, row.qps,
-                 row.p50_millis, row.p99_millis,
-                 row.oversubscribed ? "true" : "false");
-  }
-  std::fprintf(f, "], \"shard_matches_unsharded\": %s},\n",
-               shard.shard_matches_unsharded ? "true" : "false");
   // Per-timing speedups are vs the sequential row of the same domain;
   // `oversubscribed` marks rows asking for more threads than the machine
   // has, where flat speedup is expected rather than a regression.
@@ -1422,10 +1243,9 @@ int main(int argc, char** argv) {
   const FastPathPanel fastpath = RunFastPathPanel();
   const ChurnPanel churn = RunChurnPanel();
   const NetPanel net = RunNetPanel();
-  const ShardPanel shard = RunShardPanel();
   if (!json_path.empty()) {
     WriteJson(json_path, results, kernel, facade, clients, storage,
-              fastpath, churn, net, shard);
+              fastpath, churn, net);
   }
   // The self-check verdicts are written to the JSON above even on failure
   // so downstream tooling sees `false` rather than a missing file.
@@ -1444,12 +1264,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FATAL: TCP search replies diverged from in-process "
                  "sessions\n");
-    return 1;
-  }
-  if (!shard.shard_matches_unsharded) {
-    std::fprintf(stderr,
-                 "FATAL: sharded results diverged from the unsharded "
-                 "reference\n");
     return 1;
   }
   return 0;

@@ -62,7 +62,7 @@ void RunPanel(const char* name, int dimensions, int tau_step, int tau_max,
 }
 
 // Engine extension (not in the paper): the same workload as a parallel
-// self-join through the public api::Db facade, sequential vs sharded.
+// self-join through the public api::Db facade, sequential vs multi-threaded.
 void RunJoinPanel() {
   datagen::BinaryVectorConfig config;
   config.dimensions = 128;

@@ -79,7 +79,7 @@ void RunPanel(const char* name, int avg_tokens, int num_records,
 }
 
 // Engine extension (not in the paper): a DBLP-like similarity self-join
-// through the public api::Db facade, sequential vs sharded.
+// through the public api::Db facade, sequential vs multi-threaded.
 void RunJoinPanel() {
   datagen::TokenSetConfig config;
   config.num_records = bench::Scaled(20000);

@@ -75,7 +75,7 @@ void RunPanel(const char* name, int avg_length, int num_records,
 }
 
 // Engine extension (not in the paper): an IMDB-like edit-distance
-// self-join through the public api::Db facade, sequential vs sharded.
+// self-join through the public api::Db facade, sequential vs multi-threaded.
 void RunJoinPanel() {
   datagen::StringConfig config;
   config.num_records = bench::Scaled(20000);

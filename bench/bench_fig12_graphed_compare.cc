@@ -61,7 +61,7 @@ void RunPanel(const char* name, const datagen::GraphConfig& base_config,
 }
 
 // Engine extension (not in the paper): an AIDS-like GED self-join through
-// the public api::Db facade, sequential vs sharded.
+// the public api::Db facade, sequential vs multi-threaded.
 void RunJoinPanel() {
   datagen::GraphConfig config;
   config.num_graphs = bench::Scaled(1000);

@@ -12,7 +12,7 @@
 #include "core/advisor.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/strings.h"
-#include "join/self_join.h"
+#include "engine/engine.h"
 
 int main() {
   using namespace pigeonring;
@@ -44,8 +44,9 @@ int main() {
   Table table("binary-code self-join, tau = 16",
               {"method", "pairs", "candidate probes", "time (ms)"});
   for (int l : {1, advised_l}) {
-    join::JoinStats stats;
-    const auto pairs = join::HammingSelfJoin(code_searcher, tau, l, &stats);
+    engine::HammingAdapter adapter(code_searcher, tau, l);
+    engine::JoinStats stats;
+    engine::SelfJoin(adapter, {}, &stats);
     table.AddRow({l == 1 ? "GPH baseline" : "Ring (advised l)",
                   Table::Int(stats.pairs), Table::Int(stats.candidates),
                   Table::Num(stats.total_millis, 1)});
@@ -65,18 +66,19 @@ int main() {
   Table table2("string self-join, ed <= 2",
                {"method", "pairs", "candidate probes", "time (ms)"});
   {
-    join::JoinStats stats;
-    join::EditSelfJoin(name_searcher, names, editdist::EditFilter::kPivotal,
-                       1, &stats);
+    engine::EditAdapter adapter(name_searcher, &names,
+                                editdist::EditFilter::kPivotal, 1);
+    engine::JoinStats stats;
+    engine::SelfJoin(adapter, {}, &stats);
     table2.AddRow({"Pivotal", Table::Int(stats.pairs),
                    Table::Int(stats.candidates),
                    Table::Num(stats.total_millis, 1)});
   }
   {
-    join::JoinStats stats;
-    const auto pairs = join::EditSelfJoin(name_searcher, names,
-                                          editdist::EditFilter::kRing, 3,
-                                          &stats);
+    engine::EditAdapter adapter(name_searcher, &names,
+                                editdist::EditFilter::kRing, 3);
+    engine::JoinStats stats;
+    const auto pairs = engine::SelfJoin(adapter, {}, &stats);
     table2.AddRow({"Ring (l=3)", Table::Int(stats.pairs),
                    Table::Int(stats.candidates),
                    Table::Num(stats.total_millis, 1)});

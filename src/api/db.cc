@@ -17,9 +17,6 @@
 #include "io/dataset_io.h"
 #include "setsim/pkwise.h"
 #include "setsim/record.h"
-#include "shard/partitioner.h"
-#include "shard/scatter.h"
-#include "shard/split.h"
 #include "storage/bytes.h"
 #include "storage/index_file.h"
 #include "storage/index_io.h"
@@ -35,8 +32,6 @@ Status QueryDomainError(Domain query_domain, Domain index_domain) {
       " query but the index domain is " + DomainName(index_domain));
 }
 
-bool RingEnabled(const IndexSpec& spec);  // defined after the models
-
 // CRTP base: Derived supplies ToDomain(query) -> S::Query. The model holds
 // the *prototype* adapter, immutable after construction; every cursor gets
 // its own copy (cheap — the searchers share their index state behind
@@ -47,13 +42,6 @@ bool RingEnabled(const IndexSpec& spec);  // defined after the models
 // exact threshold predicate — deliberately the same test the searchers'
 // verification step runs, so a record matched out of the delta side table
 // and the same record matched after compaction agree bit for bit.
-//
-// A model may additionally carry a shard::Fleet (attached by Shard() when
-// spec.shards > 1): the full prototype adapter stays — RecordQuery,
-// RawDataset, SaveSections, and self-join probes all read it, which is
-// what keeps a sharded database's persisted bytes and raw dataset
-// identical to the unsharded ones — and only NewCursor changes, minting a
-// scatter-gather cursor over the fleet instead of a single-adapter one.
 template <typename Derived, engine::Searcher S>
 class ModelBase : public AnySearcher {
  public:
@@ -62,22 +50,7 @@ class ModelBase : public AnySearcher {
   int size() const override { return adapter_.size(); }
 
   std::unique_ptr<AnyCursor> NewCursor() const override {
-    if (fleet_ != nullptr) {
-      return std::make_unique<ShardedCursor>(derived(), adapter_, fleet_);
-    }
     return std::make_unique<Cursor>(derived(), adapter_);
-  }
-
-  std::vector<int> ShardSizes() const override {
-    if (fleet_ == nullptr) return {adapter_.size()};
-    // Counted through the partitioner, not the fleet's shard list: the
-    // fleet drops empty shards, but the monitoring surface reports all
-    // spec.shards slots.
-    std::vector<int> sizes(fleet_->partitioner.shards(), 0);
-    for (int g = 0; g < fleet_->num_records; ++g) {
-      ++sizes[fleet_->partitioner.ShardOf(g)];
-    }
-    return sizes;
   }
 
   /// Domains without a ranked/raw duality pass probes through unchanged.
@@ -118,75 +91,11 @@ class ModelBase : public AnySearcher {
     S adapter_;
   };
 
-  // The scatter-gather counterpart of Cursor: per-shard scratch adapters,
-  // merged through shard/scatter.h's drivers so the answer is
-  // byte-identical to the unsharded cursor's at any shard / thread count.
-  class ShardedCursor : public AnyCursor {
-   public:
-    ShardedCursor(const Derived& model, const S& full,
-                  std::shared_ptr<const shard::Fleet<S>> fleet)
-        : model_(model),
-          full_(full),
-          fleet_(std::move(fleet)),
-          scratch_(shard::CloneShardAdapters(*fleet_)) {}
-
-    std::vector<int> SearchOne(const Query& query,
-                               engine::QueryStats* stats) override {
-      return shard::ScatterSearchOne(*fleet_, scratch_,
-                                     model_.ToDomain(query), stats);
-    }
-
-    std::vector<std::vector<int>> SearchBatch(
-        const std::vector<Query>& queries,
-        const engine::ExecutionContext& ctx,
-        engine::QueryStats* stats) override {
-      std::vector<typename S::Query> domain_queries;
-      domain_queries.reserve(queries.size());
-      for (const Query& query : queries) {
-        domain_queries.push_back(model_.ToDomain(query));
-      }
-      return shard::ScatterSearchBatch(*fleet_, scratch_, domain_queries,
-                                       ShardOptions(ctx), stats);
-    }
-
-    std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
-                                         engine::JoinStats* stats) override {
-      return shard::ScatterSelfJoin(*fleet_, full_, scratch_,
-                                    ShardOptions(ctx), stats);
-    }
-
-   private:
-    /// The caller's thread budget divided across the shard executors
-    /// (floor, min 1): shards run concurrently, so handing each the full
-    /// width would oversubscribe the machine S-fold. Results are
-    /// byte-identical at any width.
-    engine::ExecutionOptions ShardOptions(
-        const engine::ExecutionContext& ctx) const {
-      const int num_shards =
-          std::max<int>(1, static_cast<int>(fleet_->shards.size()));
-      engine::ExecutionOptions options;
-      options.num_threads = std::max(1, ctx.num_threads() / num_shards);
-      options.chunk = static_cast<int>(ctx.chunk());
-      return options;
-    }
-
-    const Derived& model_;
-    const S& full_;  // the model's prototype: supplies self-join probes
-    std::shared_ptr<const shard::Fleet<S>> fleet_;
-    std::vector<S> scratch_;  // one mutable clone per shard
-  };
-
   const Derived& derived() const {
     return static_cast<const Derived&>(*this);
   }
 
-  void AttachFleet(std::shared_ptr<const shard::Fleet<S>> fleet) {
-    fleet_ = std::move(fleet);
-  }
-
   S adapter_;  // the prototype; only read and copied after construction
-  // Present iff spec.shards > 1 (see the class comment).
-  std::shared_ptr<const shard::Fleet<S>> fleet_;
 };
 
 class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
@@ -240,16 +149,6 @@ class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
 
   void SaveSections(storage::IndexFileWriter& writer) const override {
     storage::SaveHammingSections(adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitHamming(adapter_, partitioner, tau_, chain,
-                            spec.allocation)));
   }
 
  private:
@@ -371,15 +270,6 @@ class SetModel : public ModelBase<SetModel, engine::SetAdapter> {
     storage::SaveSetSections(*collection_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitSet(adapter_, partitioner, tau_, measure_, chain)));
-  }
-
  private:
   static void SortUnique(std::vector<int>& tokens) {
     std::sort(tokens.begin(), tokens.end());
@@ -449,18 +339,6 @@ class EditModel : public ModelBase<EditModel, engine::EditAdapter> {
     storage::SaveEditSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const editdist::EditFilter filter = RingEnabled(spec)
-                                            ? editdist::EditFilter::kRing
-                                            : editdist::EditFilter::kPivotal;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEdit(adapter_, partitioner, spec.kappa, filter,
-                         spec.chain_length)));
-  }
-
  private:
   std::unique_ptr<std::vector<std::string>> data_;
   int tau_;
@@ -528,14 +406,6 @@ class EditFastModel
     storage::SaveEditFastSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEditFast(adapter_, partitioner, spec.chain_length)));
-  }
-
  private:
   std::unique_ptr<std::vector<std::string>> data_;
   int tau_;
@@ -580,17 +450,6 @@ class GraphModel : public ModelBase<GraphModel, engine::GraphAdapter> {
     storage::SaveGraphSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const graphed::GraphFilter filter = RingEnabled(spec)
-                                            ? graphed::GraphFilter::kRing
-                                            : graphed::GraphFilter::kPars;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitGraph(adapter_, partitioner, filter, spec.chain_length)));
-  }
-
  private:
   std::unique_ptr<std::vector<graphed::Graph>> data_;
   int tau_;
@@ -606,17 +465,6 @@ bool RingEnabled(const IndexSpec& spec) {
       break;
   }
   return spec.chain_length > 1;
-}
-
-/// The tail every Build* / Load* shares: attaches the scatter-gather fleet
-/// when the spec asks for shards, then erases the model. Sharding happens
-/// here — after the full build or load — because the shards are projected
-/// out of the full index (shard/split.h), never built independently.
-template <typename Model>
-std::unique_ptr<const AnySearcher> Finish(std::unique_ptr<Model> model,
-                                          const IndexSpec& spec) {
-  if (spec.shards > 1) model->Shard(spec);
-  return model;
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
@@ -668,9 +516,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
   engine::HammingAdapter adapter(
       hamming::HammingSearcher(std::move(objects), num_parts),
       static_cast<int>(spec.tau), chain, spec.allocation);
-  return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
-                                               static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(new HammingModel(
+      std::move(adapter), dimensions, static_cast<int>(spec.tau)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
@@ -680,10 +527,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
                                   spec.measure);
   const int chain = RingEnabled(spec) ? spec.chain_length : 1;
   engine::SetAdapter adapter(std::move(searcher), collection.get(), chain);
-  return Finish(std::make_unique<SetModel>(std::move(collection),
-                                           std::move(adapter), spec.tau,
-                                           spec.measure),
-                spec);
+  return std::unique_ptr<const AnySearcher>(
+      new SetModel(std::move(collection), std::move(adapter), spec.tau,
+                   spec.measure));
 }
 
 /// Resolves edit_fast_path=kAuto against the dataset's shape (kOn / kOff
@@ -735,10 +581,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildEdit(
                                        static_cast<int>(spec.tau));
     engine::EditFastAdapter adapter(std::move(searcher), data.get(),
                                     spec.chain_length);
-    return Finish(std::make_unique<EditFastModel>(std::move(data),
-                                                  std::move(adapter),
-                                                  static_cast<int>(spec.tau)),
-                  spec);
+    return std::unique_ptr<const AnySearcher>(
+        new EditFastModel(std::move(data), std::move(adapter),
+                          static_cast<int>(spec.tau)));
   }
   editdist::EditDistanceSearcher searcher(
       data.get(), static_cast<int>(spec.tau), spec.kappa);
@@ -747,10 +592,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildEdit(
                                           : editdist::EditFilter::kPivotal;
   engine::EditAdapter adapter(std::move(searcher), data.get(), filter,
                               spec.chain_length);
-  return Finish(std::make_unique<EditModel>(std::move(data),
-                                            std::move(adapter),
-                                            static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(new EditModel(
+      std::move(data), std::move(adapter), static_cast<int>(spec.tau)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildGraph(
@@ -764,10 +607,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildGraph(
                                           : graphed::GraphFilter::kPars;
   engine::GraphAdapter adapter(std::move(searcher), data.get(), filter,
                                spec.chain_length);
-  return Finish(std::make_unique<GraphModel>(std::move(data),
-                                             std::move(adapter),
-                                             static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(new GraphModel(
+      std::move(data), std::move(adapter), static_cast<int>(spec.tau)));
 }
 
 // --- Persisted-index support ---
@@ -901,9 +742,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
       hamming::HammingSearcher::FromBuilt(std::move(loaded->objects),
                                           std::move(loaded->index)),
       static_cast<int>(spec.tau), chain, spec.allocation);
-  return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
-                                               static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(new HammingModel(
+      std::move(adapter), dimensions, static_cast<int>(spec.tau)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
@@ -916,10 +756,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
   const int chain = RingEnabled(spec) ? spec.chain_length : 1;
   engine::SetAdapter adapter(std::move(searcher), loaded->collection.get(),
                              chain);
-  return Finish(std::make_unique<SetModel>(std::move(loaded->collection),
-                                           std::move(adapter), spec.tau,
-                                           spec.measure),
-                spec);
+  return std::unique_ptr<const AnySearcher>(
+      new SetModel(std::move(loaded->collection), std::move(adapter),
+                   spec.tau, spec.measure));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadEditFast(
@@ -932,10 +771,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadEditFast(
       std::move(loaded->cases));
   engine::EditFastAdapter adapter(std::move(searcher), loaded->data.get(),
                                   spec.chain_length);
-  return Finish(std::make_unique<EditFastModel>(std::move(loaded->data),
-                                                std::move(adapter),
-                                                static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(
+      new EditFastModel(std::move(loaded->data), std::move(adapter),
+                        static_cast<int>(spec.tau)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
@@ -955,10 +793,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
                                           : editdist::EditFilter::kPivotal;
   engine::EditAdapter adapter(std::move(searcher), loaded->data.get(),
                               filter, spec.chain_length);
-  return Finish(std::make_unique<EditModel>(std::move(loaded->data),
-                                            std::move(adapter),
-                                            static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(
+      new EditModel(std::move(loaded->data), std::move(adapter),
+                    static_cast<int>(spec.tau)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
@@ -974,10 +811,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
                                           : graphed::GraphFilter::kPars;
   engine::GraphAdapter adapter(std::move(searcher), loaded->data.get(),
                                filter, spec.chain_length);
-  return Finish(std::make_unique<GraphModel>(std::move(loaded->data),
-                                             std::move(adapter),
-                                             static_cast<int>(spec.tau)),
-                spec);
+  return std::unique_ptr<const AnySearcher>(
+      new GraphModel(std::move(loaded->data), std::move(adapter),
+                     static_cast<int>(spec.tau)));
 }
 
 /// Wraps a fresh searcher + executor into an epoch-0 hub.
@@ -1147,21 +983,8 @@ StatusOr<Db> Db::OpenIndex(const IndexSpec& spec,
         "index file was built under a different spec (fingerprint "
         "mismatch); rebuild the index");
   }
-  // A sharded database records its shard map (shards is a serving-time
-  // knob, outside the fingerprint). A default-shards spec adopts it; an
-  // explicit shards > 1 overrides it; the file stays openable unsharded
-  // by passing nothing at all only when it was saved unsharded.
-  if (resolved.shards == 1 &&
-      reader->HasSection(storage::SectionId::kShardMap)) {
-    auto section = reader->Section(storage::SectionId::kShardMap);
-    if (!section.ok()) return section.status();
-    storage::ByteReader r = *section;
-    shard::Partitioner partitioner;
-    if (!partitioner.Decode(r)) {
-      return Status::DataLoss("index section 80 corrupt: malformed shard map");
-    }
-    resolved.shards = partitioner.shards();
-  }
+  // kShardMap (written by sharded saves of earlier releases) is a reserved
+  // section this reader skips: such files open and serve unsharded.
   StatusOr<std::unique_ptr<const internal::AnySearcher>> searcher = [&] {
     switch (resolved.domain) {
       case Domain::kHamming:
@@ -1197,16 +1020,6 @@ Status Db::Save(const std::string& path) const {
   }
   storage::IndexFileWriter writer;
   internal::AddSpecSection(view.state->spec, writer);
-  if (view.state->spec.shards > 1) {
-    // Serving-time sharding round-trips through its own section so
-    // OpenIndex can re-adopt it; an unsharded save stays byte-identical
-    // to pre-shard-era files.
-    storage::ByteWriter w;
-    shard::Partitioner(shard::PlacementMode::kRoundRobin,
-                       view.state->spec.shards)
-        .Encode(w);
-    writer.AddSection(storage::SectionId::kShardMap, std::move(w).Take());
-  }
   to_save->SaveSections(writer);
   return writer.WriteTo(path, static_cast<uint32_t>(view.state->spec.domain),
                         BuildFingerprint(view.state->spec));
@@ -1230,32 +1043,8 @@ uint64_t Db::epoch() const {
   return internal::AcquireView(*hub_).epoch;
 }
 
-std::vector<int> Db::ShardSizes() const {
-  return internal::AcquireView(*hub_).state->searcher->ShardSizes();
-}
-
-std::vector<DbShardStat> Db::ShardStats() const {
-  internal::HubView view = internal::AcquireView(*hub_);
-  const std::vector<int> sizes = view.state->searcher->ShardSizes();
-  std::vector<DbShardStat> stats;
-  stats.reserve(sizes.size());
-  for (int records : sizes) stats.push_back({records, 0});
-  const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                       static_cast<int>(stats.size()));
-  const int base = view.state->searcher->size();
-  // Pending insert k occupies public id base + k within this epoch; route
-  // it by the placement the next compaction's renumbering will apply.
-  // Removals land on the shard owning the removed record.
-  for (int k = 0; k < static_cast<int>(view.delta->inserts.size()); ++k) {
-    ++stats[partitioner.ShardOf(base + k)].pending_delta;
-  }
-  for (int id : view.delta->removed_base) {
-    ++stats[partitioner.ShardOf(id)].pending_delta;
-  }
-  for (int k : view.delta->removed_delta) {
-    ++stats[partitioner.ShardOf(base + k)].pending_delta;
-  }
-  return stats;
+int Db::pending_mutations() const {
+  return static_cast<int>(internal::AcquireView(*hub_).delta->NumMutations());
 }
 
 Session Db::NewSession() const {

@@ -61,17 +61,6 @@
 
 namespace pigeonring::api {
 
-/// One shard's slice of a database, as reported by Db::ShardStats — the
-/// per-shard monitoring surface behind the net stats op. An unsharded
-/// database reports one entry covering everything.
-struct DbShardStat {
-  /// Base-snapshot records placed on this shard.
-  int records = 0;
-  /// Pending writer mutations (inserts + removals) that land on this
-  /// shard's records when the next compaction publishes.
-  int pending_delta = 0;
-};
-
 class Db {
  public:
   /// Validates `spec` against `dataset` and builds the domain index.
@@ -130,16 +119,11 @@ class Db {
   /// given Session observes.
   uint64_t epoch() const;
 
-  /// Base-snapshot record counts per shard (spec().shards entries,
-  /// possibly 0 for under-populated shards; one entry when unsharded).
-  /// Excludes pending delta inserts — their future placement shows up in
-  /// ShardStats().
-  std::vector<int> ShardSizes() const;
-
-  /// Per-shard record + pending-mutation counts of the current epoch (see
-  /// DbShardStat). The entries sum to num_records()'s base component plus
-  /// the pending mutation count; served by the net stats op.
-  std::vector<DbShardStat> ShardStats() const;
+  /// Writer mutations not yet folded in by a compaction: pending inserts
+  /// (including ones already removed again) plus pending removals. 0 for a
+  /// freshly opened or just-compacted database; the writer-backlog signal
+  /// the net stats op serves.
+  int pending_mutations() const;
 
   /// Mints a per-caller query handle over the current epoch + pending
   /// mutations. Cheap (the scratch clone shares all immutable index

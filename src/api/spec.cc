@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "shard/partitioner.h"
-
 namespace pigeonring::api {
 
 namespace {
@@ -166,11 +164,6 @@ Status IndexSpec::Validate() const {
   if (chunk < 1) {
     return Status::InvalidArgument("chunk=" + std::to_string(chunk) +
                                    " is invalid: expected >= 1");
-  }
-  if (shards < 1 || shards > shard::kMaxShards) {
-    return Status::InvalidArgument(
-        "shards=" + std::to_string(shards) + " is invalid: expected 1 " +
-        "(unsharded) to " + std::to_string(shard::kMaxShards));
   }
   if (delta_compact_threshold < 0) {
     return Status::InvalidArgument(

@@ -97,18 +97,6 @@ struct IndexSpec {
   /// Probes claimed per scheduling step by the thread pool.
   int chunk = 8;
 
-  /// Scatter-gather shard count S (src/shard/): the collection is
-  /// partitioned round-robin into S shards, each with its own projected
-  /// searcher and executor, and every query / self-join is scattered to
-  /// all shards and merged byte-identically to the unsharded answer. 1 (the
-  /// default) serves the single unsharded searcher. A serving-time knob:
-  /// excluded from BuildFingerprint and from the kSpec section, but
-  /// Db::Save records the shard map of a sharded database and
-  /// Db::OpenIndex adopts it when the opening spec leaves shards at 1
-  /// (an explicit shards > 1 overrides the persisted value). Must be in
-  /// [1, shard::kMaxShards].
-  int shards = 1;
-
   // --- Hamming ---
   /// Partition count m; 0 = the paper's default floor(d / 16) (min 1).
   int num_parts = 0;

@@ -54,12 +54,6 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-Histogram MergedHistogram(const std::vector<Histogram>& parts) {
-  Histogram merged;
-  for (const Histogram& part : parts) merged.Merge(part);
-  return merged;
-}
-
 double Histogram::Percentile(double q) const {
   if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);

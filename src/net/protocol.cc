@@ -377,11 +377,7 @@ void EncodeServerStats(ByteWriter& w, const ServerStats& stats) {
     w.F64(op.p50_micros);
     w.F64(op.p99_micros);
   }
-  w.U32(static_cast<uint32_t>(stats.shards.size()));
-  for (const ShardStats& shard : stats.shards) {
-    w.I32(shard.records);
-    w.I32(shard.pending_delta);
-  }
+  w.I32(stats.pending_mutations);
 }
 
 bool DecodeServerStats(ByteReader& r, ServerStats* stats) {
@@ -402,16 +398,7 @@ bool DecodeServerStats(ByteReader& r, ServerStats* stats) {
     op.p99_micros = r.F64();
     stats->ops.push_back(op);
   }
-  const uint32_t num_shards = r.U32();
-  if (!r.ok() || num_shards > r.remaining() / 8) return false;  // 4+4 each
-  stats->shards.clear();
-  stats->shards.reserve(num_shards);
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    ShardStats shard;
-    shard.records = r.I32();
-    shard.pending_delta = r.I32();
-    stats->shards.push_back(shard);
-  }
+  stats->pending_mutations = r.I32();
   return r.ok();
 }
 

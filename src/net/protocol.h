@@ -168,16 +168,8 @@ struct OpStats {
   double p99_micros = 0;
 };
 
-/// Per-shard placement row: committed record count plus the pending
-/// (unpublished-to-compaction) delta rows routed to that shard.
-struct ShardStats {
-  int32_t records = 0;
-  int32_t pending_delta = 0;
-};
-
-/// The stats op's reply: dataset shape plus the server's admission /
-/// error counters, per-op latency digests, and per-shard placement
-/// counters (a single row when the served index is unsharded).
+/// The stats op's reply: dataset shape, the writer backlog, the server's
+/// admission / error counters, and per-op latency digests.
 struct ServerStats {
   int32_t num_records = 0;
   uint64_t epoch = 0;
@@ -185,7 +177,8 @@ struct ServerStats {
   int64_t shed = 0;
   int64_t protocol_errors = 0;
   std::vector<OpStats> ops;
-  std::vector<ShardStats> shards;
+  /// Writer mutations awaiting compaction (Db::pending_mutations()).
+  int32_t pending_mutations = 0;
 };
 
 void EncodeServerStats(storage::ByteWriter& w, const ServerStats& stats);

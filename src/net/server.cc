@@ -110,10 +110,7 @@ struct Server::Impl {
     stats.accepted = accepted.load();
     stats.shed = shed.load();
     stats.protocol_errors = protocol_errors.load();
-    for (const api::DbShardStat& shard : db.ShardStats()) {
-      stats.shards.push_back(
-          {.records = shard.records, .pending_delta = shard.pending_delta});
-    }
+    stats.pending_mutations = db.pending_mutations();
     std::lock_guard<std::mutex> lock(hist_mu);
     for (size_t op = 0; op < op_hist.size(); ++op) {
       if (op_hist[op].count() == 0) continue;

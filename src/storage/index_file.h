@@ -105,7 +105,9 @@ enum class SectionId : uint32_t {
   kGraphParts = 65,       // per-graph Pars partition (parts + half-edges)
   kGraphHistograms = 66,  // per-graph label histograms
 
-  kShardMap = 80,  // placement mode + shard count (shard::Partitioner)
+  // Reserved: the shard placement that sharded saves of earlier releases
+  // wrote. Never written now and never read — such files open unsharded.
+  kShardMap = 80,
 };
 
 /// Accumulates sections in memory and writes the whole container in one

@@ -22,9 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,9 +35,12 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
+
+using testing_util::SaveBytes;
 
 constexpr int kReaderThreads = 2;
 constexpr int kInitialRecords = 30;
@@ -92,16 +93,6 @@ Dataset DatasetFromQueries(Domain domain, const std::vector<Query>& queries) {
     records.push_back(std::get<graphed::Graph>(q));
   }
   return Dataset(std::move(records));
-}
-
-std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  Status saved = db.Save(path);
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// One reader: mint a session, freeze a few results, then keep checking

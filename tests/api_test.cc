@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "engine/engine.h"
 #include "io/dataset_io.h"
 #include "setsim/pkwise.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
@@ -343,10 +343,7 @@ TEST(SessionTest, SessionIsMovable) {
 }
 
 TEST(DbTest, OpensFromDatasetFile) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pigeonring_api_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "vectors.ds").string();
+  const std::string path = testing_util::ScratchPath("vectors.ds");
   const auto objects = MakeVectors(150, 64, 17);
   ASSERT_TRUE(io::SaveBitVectors(path, objects).ok());
 
@@ -367,8 +364,6 @@ TEST(DbTest, OpensFromDatasetFile) {
   auto b = memory_session.Search(*query);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->ids, b->ids);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DbTest, MissingDatasetFileIsNotFound) {

@@ -22,9 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,9 +36,13 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
+
+using testing_util::SaveBytes;
+using testing_util::ScratchPath;
 
 Db OpenOrDie(const IndexSpec& spec, Dataset dataset) {
   auto opened = Db::Open(spec, std::move(dataset));
@@ -173,16 +175,6 @@ Dataset SliceWithout(const Dataset& dataset, const std::vector<int>& drop) {
         return Dataset(std::move(kept));
       },
       dataset);
-}
-
-std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  Status saved = db.Save(path);
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 std::vector<Query> AllRecords(const Db& db) {
@@ -625,7 +617,8 @@ TEST(WriterTest, SaveWithPendingDeltaDoesNotPublish) {
   ASSERT_TRUE(writer.Insert(records[0]).ok());
   Session before = db.NewSession();
 
-  const std::string pending = SaveBytes(db, "publish_pending.pgri");
+  const std::vector<uint8_t> pending =
+      SaveBytes(db, "publish_pending.pgri");
   // Save rebuilt inline but must not have published a new epoch.
   EXPECT_EQ(db.epoch(), 0u);
   EXPECT_EQ(writer.num_pending(), 1);
@@ -633,7 +626,7 @@ TEST(WriterTest, SaveWithPendingDeltaDoesNotPublish) {
   EXPECT_EQ(SaveBytes(db, "publish_compacted.pgri"), pending);
 
   // And the saved file round-trips with the merged record count.
-  const std::string path = testing::TempDir() + "/publish_pending.pgri";
+  const std::string path = ScratchPath("publish_pending.pgri");
   auto reopened = Db::OpenIndex(db.spec(), path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->num_records(), 31);

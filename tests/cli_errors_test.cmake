@@ -89,19 +89,6 @@ expect_fail(1 "InvalidArgument.*Jaccard"
 expect_fail(1 "InvalidArgument"  # bit-vector file is not a token-set file
   search sets --data "${dataset}" --tau 0.8)
 
-# --- sharded execution ----------------------------------------------------
-# --shards is parsed by the CLI (malformed value: usage, exit 2) and
-# validated by the Db layer (out-of-range count: typed InvalidArgument,
-# exit 1) — never silently clamped to 1.
-expect_fail(1 "InvalidArgument.*shards"
-  search hamming --data "${dataset}" --tau 8 --shards 0)
-expect_fail(1 "InvalidArgument.*shards"
-  join hamming --data "${dataset}" --tau 8 --shards -2)
-expect_fail(2 "--shards expects an integer"
-  search hamming --data "${dataset}" --tau 8 --shards abc)
-expect_fail(2 "unknown flag --shards"  # mutation commands reopen in place
-  compact hamming --index "${WORK_DIR}/vectors.pgri" --tau 8 --shards 2)
-
 # --- persisted-index errors -----------------------------------------------
 # Exactly one of --data / --index must be given (usage, exit 2); a bad or
 # mismatched index surfaces the storage layer's typed Status (exit 1).

@@ -48,7 +48,7 @@ endfunction()
 # counters.
 function(strip_nondeterministic text out_var)
   string(REGEX REPLACE
-    "stat\\.(millis|wall_millis|threads|clients|served_queries)=[^\n]*\n?"
+    "stat\\.(query_millis_sum|join_millis|wall_millis|threads|clients|served_queries)=[^\n]*\n?"
     "" text "${text}")
   set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()

@@ -20,7 +20,6 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
-#include "join/self_join.h"
 
 namespace pigeonring::engine {
 namespace {
@@ -132,12 +131,16 @@ TEST(EngineTest, GraphParallelJoinDeterministic) {
   ExpectParallelJoinMatchesSequential(adapter);
 }
 
-TEST(EngineTest, LegacyWrapperHonorsNumThreads) {
+// The one-shot overload (transient Executor) honors its thread count with
+// the same answer and counters as the sequential default.
+TEST(EngineTest, OneShotJoinHonorsNumThreads) {
   auto objects = MakeVectors(300, 89);
-  hamming::HammingSearcher searcher(objects, 4);
-  join::JoinStats seq_stats, par_stats;
-  const auto seq = join::HammingSelfJoin(searcher, 8, 3, &seq_stats);
-  const auto par = join::HammingSelfJoin(searcher, 8, 3, &par_stats, 4);
+  HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 8, 3);
+  ExecutionOptions options;
+  options.num_threads = 4;
+  JoinStats seq_stats, par_stats;
+  const auto seq = SelfJoin(adapter, {}, &seq_stats);
+  const auto par = SelfJoin(adapter, options, &par_stats);
   EXPECT_EQ(par, seq);
   EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
   EXPECT_EQ(par_stats.pairs, seq_stats.pairs);

@@ -1,7 +1,6 @@
-// Tests for the self-join helpers: each join must equal the brute-force
-// all-pairs result, and the pigeonring chain length must not change it.
-
-#include "join/self_join.h"
+// Tests for engine::SelfJoin over each domain's adapter: each join must
+// equal the brute-force all-pairs result, and the pigeonring chain length
+// must not change it.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +12,10 @@
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
 #include "editdist/verify.h"
+#include "engine/engine.h"
 #include "graphed/ged.h"
 
-namespace pigeonring::join {
+namespace pigeonring::engine {
 namespace {
 
 template <typename Predicate>
@@ -46,8 +46,9 @@ TEST(SelfJoinTest, HammingJoinMatchesBruteForce) {
       });
   ASSERT_FALSE(expected.empty()) << "workload should contain close pairs";
   for (int l : {1, 3}) {
+    HammingAdapter adapter(searcher, tau, l);
     JoinStats stats;
-    EXPECT_EQ(HammingSelfJoin(searcher, tau, l, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, {}, &stats), expected);
     EXPECT_EQ(stats.pairs, static_cast<int64_t>(expected.size()));
   }
 }
@@ -68,8 +69,8 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
           return setsim::Jaccard(collection.record(i),
                                  collection.record(j)) >= tau - 1e-12;
         });
-    JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    SetAdapter adapter(searcher, &collection, 2);
+    EXPECT_EQ(SelfJoin(adapter), expected);
   }
   {
     const int overlap = 8;
@@ -80,8 +81,8 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
           return setsim::Overlap(collection.record(i),
                                  collection.record(j)) >= overlap;
         });
-    JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    SetAdapter adapter(searcher, &collection, 2);
+    EXPECT_EQ(SelfJoin(adapter), expected);
   }
 }
 
@@ -100,13 +101,10 @@ TEST(SelfJoinTest, EditJoinMatchesBruteForce) {
         return editdist::BandedEditDistance(data[i], data[j], tau) <= tau;
       });
   ASSERT_FALSE(expected.empty());
-  JoinStats stats;
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kRing, 3,
-                         &stats),
-            expected);
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kPivotal, 1,
-                         &stats),
-            expected);
+  EditAdapter ring(searcher, &data, editdist::EditFilter::kRing, 3);
+  EXPECT_EQ(SelfJoin(ring), expected);
+  EditAdapter pivotal(searcher, &data, editdist::EditFilter::kPivotal, 1);
+  EXPECT_EQ(SelfJoin(pivotal), expected);
 }
 
 TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
@@ -126,13 +124,10 @@ TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
         return graphed::GraphEditDistanceWithin(data[i], data[j], tau) <=
                tau;
       });
-  JoinStats stats;
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kRing, 2,
-                          &stats),
-            expected);
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kPars, 1,
-                          &stats),
-            expected);
+  GraphAdapter ring(searcher, &data, graphed::GraphFilter::kRing, 2);
+  EXPECT_EQ(SelfJoin(ring), expected);
+  GraphAdapter pars(searcher, &data, graphed::GraphFilter::kPars, 1);
+  EXPECT_EQ(SelfJoin(pars), expected);
 }
 
 TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
@@ -143,8 +138,8 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
   config.flip_rate = 0.02;
   config.seed = 89;
   auto objects = datagen::GenerateBinaryVectors(config);
-  hamming::HammingSearcher searcher(objects, 4);
-  const auto pairs = HammingSelfJoin(searcher, 12, 3);
+  HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 12, 3);
+  const auto pairs = SelfJoin(adapter);
   std::set<std::pair<int, int>> seen;
   for (const IdPair& p : pairs) {
     EXPECT_LT(p.first, p.second);
@@ -153,4 +148,4 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
 }
 
 }  // namespace
-}  // namespace pigeonring::join
+}  // namespace pigeonring::engine

@@ -192,9 +192,7 @@ TEST(ProtocolCodecTest, RepliesRoundTrip) {
   stats.shed = 2;
   stats.protocol_errors = 1;
   stats.ops.push_back({static_cast<uint8_t>(Op::kSearch), 10, 120.0, 900.0});
-  stats.shards.push_back({.records = 34, .pending_delta = 2});
-  stats.shards.push_back({.records = 33, .pending_delta = 0});
-  stats.shards.push_back({.records = 33, .pending_delta = 1});
+  stats.pending_mutations = 3;
   ByteWriter ws;
   EncodeServerStats(ws, stats);
   ByteReader rs(ws.data().data(), ws.data().size());
@@ -204,15 +202,11 @@ TEST(ProtocolCodecTest, RepliesRoundTrip) {
   EXPECT_EQ(stats_out.shed, 2);
   ASSERT_EQ(stats_out.ops.size(), 1u);
   EXPECT_EQ(stats_out.ops[0].p99_micros, 900.0);
-  ASSERT_EQ(stats_out.shards.size(), 3u);
-  EXPECT_EQ(stats_out.shards[0].records, 34);
-  EXPECT_EQ(stats_out.shards[0].pending_delta, 2);
-  EXPECT_EQ(stats_out.shards[2].pending_delta, 1);
+  EXPECT_EQ(stats_out.pending_mutations, 3);
 
-  // A declared shard count beyond the remaining bytes is rejected before
-  // any allocation, like every other length field in the protocol.
+  // A reply cut short of its trailing field is rejected, not half-read.
   std::vector<uint8_t> bytes = std::move(ws).Take();
-  bytes.resize(bytes.size() - 3 * 8);  // drop the shard rows, keep the count
+  bytes.resize(bytes.size() - 4);  // drop pending_mutations
   ByteReader truncated(bytes.data(), bytes.size());
   ServerStats rejected;
   EXPECT_FALSE(DecodeServerStats(truncated, &rejected));

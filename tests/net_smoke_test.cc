@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +26,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "storage/bytes.h"
+#include "test_scratch.h"
 
 namespace pigeonring::net {
 namespace {
@@ -118,13 +117,6 @@ std::vector<uint8_t> QueryBytes(const api::Query& query) {
   storage::ByteWriter w;
   EncodeQuery(w, query);
   return std::move(w).Take();
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // The acceptance pin: over real TCP, search / batch / self-join results
@@ -249,14 +241,8 @@ TEST(NetSmoke, MutationsConvergeLikeDirectWriter) {
   EXPECT_EQ(remote->ids, expected->ids);
 
   // The strongest pin: both databases serialize byte-identically.
-  const std::string dir = ::testing::TempDir();
-  const std::string served_path = dir + "/net_smoke_served.pri";
-  const std::string direct_path = dir + "/net_smoke_direct.pri";
-  ASSERT_TRUE(served.Save(served_path).ok());
-  ASSERT_TRUE(direct.Save(direct_path).ok());
-  EXPECT_EQ(ReadFileBytes(served_path), ReadFileBytes(direct_path));
-  std::remove(served_path.c_str());
-  std::remove(direct_path.c_str());
+  EXPECT_EQ(testing_util::SaveBytes(served, "served.pgri"),
+            testing_util::SaveBytes(direct, "direct.pgri"));
 
   server->Stop();
 }
@@ -321,20 +307,16 @@ TEST(NetSmoke, StatsExposeCountersAndLatencyHistograms) {
   EXPECT_TRUE(saw_search);
   EXPECT_TRUE(saw_batch);
 
-  // An unsharded index reports a single placement row covering everything.
-  ASSERT_EQ(stats->shards.size(), 1u);
-  EXPECT_EQ(stats->shards[0].records, db.num_records());
-  EXPECT_EQ(stats->shards[0].pending_delta, 0);
+  EXPECT_EQ(stats->pending_mutations, 0);
 
   // The in-process snapshot agrees with the wire view.
   ServerStats snapshot = server->Snapshot();
   EXPECT_EQ(snapshot.accepted, stats->accepted);
 }
 
-// A sharded served index exposes one placement row per shard: rows sum to
-// the committed record count, served inserts surface as pending delta on
-// the round-robin owner shard, and compaction folds them back in.
-TEST(NetSmoke, StatsExposePerShardPlacement) {
+// The stats op reports the writer backlog: served inserts count as pending
+// mutations until a compaction folds them into the base snapshot.
+TEST(NetSmoke, StatsReportPendingMutations) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 202;
@@ -344,7 +326,6 @@ TEST(NetSmoke, StatsExposePerShardPlacement) {
   spec.domain = api::Domain::kHamming;
   spec.tau = 8;
   spec.chain_length = 3;
-  spec.shards = 4;
   api::Db db =
       OpenOrDie(spec, api::Dataset(datagen::GenerateBinaryVectors(config)));
 
@@ -354,40 +335,24 @@ TEST(NetSmoke, StatsExposePerShardPlacement) {
 
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats->shards.size(), 4u);
-  int total = 0;
-  for (const ShardStats& shard : stats->shards) {
-    total += shard.records;
-    EXPECT_EQ(shard.pending_delta, 0);
-  }
-  EXPECT_EQ(total, db.num_records());
+  EXPECT_EQ(stats->pending_mutations, 0);
+  EXPECT_EQ(stats->num_records, 202);
 
-  // Two served inserts: ids 202 and 203 land as pending delta on their
-  // round-robin owner shards (202 % 4 = 2, 203 % 4 = 3).
   api::Session sampler = db.NewSession();
   for (const api::Query& record : SampleQueries(sampler, 2)) {
     ASSERT_TRUE(client.Insert(record).ok());
   }
   stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->shards.size(), 4u);
-  EXPECT_EQ(stats->shards[0].pending_delta, 0);
-  EXPECT_EQ(stats->shards[1].pending_delta, 0);
-  EXPECT_EQ(stats->shards[2].pending_delta, 1);
-  EXPECT_EQ(stats->shards[3].pending_delta, 1);
+  EXPECT_EQ(stats->pending_mutations, 2);
+  EXPECT_EQ(stats->num_records, 204);
 
-  // Compaction folds the delta in; rows re-sum to the new total with no
-  // pending rows left.
   ASSERT_TRUE(client.Compact().ok());
   stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->shards.size(), 4u);
-  total = 0;
-  for (const ShardStats& shard : stats->shards) {
-    total += shard.records;
-    EXPECT_EQ(shard.pending_delta, 0);
-  }
-  EXPECT_EQ(total, 204);
+  EXPECT_EQ(stats->pending_mutations, 0);
+  EXPECT_EQ(stats->num_records, 204);
+  EXPECT_EQ(stats->epoch, 1u);
 }
 
 TEST(NetSmoke, OverloadShedsWithTypedResourceExhausted) {

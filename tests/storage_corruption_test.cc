@@ -16,7 +16,6 @@
 //   * a missing / unreadable path.
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -32,30 +31,14 @@
 #include "datagen/token_sets.h"
 #include "storage/crc32c.h"
 #include "storage/index_file.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(testing::TempDir()) / name).string();
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good()) << path;
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
+using testing_util::ReadFileBytes;
+using testing_util::ScratchPath;
+using testing_util::WriteFileBytes;
 
 // One valid saved index per domain, built once for the whole suite.
 struct DomainIndex {
@@ -81,9 +64,9 @@ std::vector<DomainIndex> BuildAllDomains() {
     auto db =
         Db::Open(spec, Dataset(datagen::GenerateBinaryVectors(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_hamming.pgri");
+    const std::string path = ScratchPath("corrupt_base_hamming.pgri");
     EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"hamming", spec, ReadFile(path)});
+    indexes.push_back({"hamming", spec, ReadFileBytes(path)});
   }
   {
     IndexSpec spec;
@@ -97,9 +80,9 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 92;
     auto db = Db::Open(spec, Dataset(datagen::GenerateTokenSets(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_sets.pgri");
+    const std::string path = ScratchPath("corrupt_base_sets.pgri");
     EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"sets", spec, ReadFile(path)});
+    indexes.push_back({"sets", spec, ReadFileBytes(path)});
   }
   {
     IndexSpec spec;
@@ -113,9 +96,9 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 93;
     auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_strings.pgri");
+    const std::string path = ScratchPath("corrupt_base_strings.pgri");
     EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"strings", spec, ReadFile(path)});
+    indexes.push_back({"strings", spec, ReadFileBytes(path)});
   }
   {
     // The fixed-length fast path: its kEditFast* sections get the same
@@ -131,9 +114,9 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 95;
     auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_strings_fast.pgri");
+    const std::string path = ScratchPath("corrupt_base_strings_fast.pgri");
     EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"strings_fast", spec, ReadFile(path)});
+    indexes.push_back({"strings_fast", spec, ReadFileBytes(path)});
   }
   {
     IndexSpec spec;
@@ -148,9 +131,9 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 94;
     auto db = Db::Open(spec, Dataset(datagen::GenerateGraphs(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_graphs.pgri");
+    const std::string path = ScratchPath("corrupt_base_graphs.pgri");
     EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"graphs", spec, ReadFile(path)});
+    indexes.push_back({"graphs", spec, ReadFileBytes(path)});
   }
   return indexes;
 }
@@ -167,8 +150,8 @@ const std::vector<DomainIndex>& AllDomains() {
 void ExpectOpenFails(const DomainIndex& base, std::vector<uint8_t> image,
                      StatusCode code, const std::string& label) {
   SCOPED_TRACE(std::string(base.name) + ": " + label);
-  const std::string path = TempPath("corrupt_scratch.pgri");
-  WriteFile(path, image);
+  const std::string path = ScratchPath("corrupt_scratch.pgri");
+  WriteFileBytes(path, image);
   auto db = Db::OpenIndex(base.spec, path);
   ASSERT_FALSE(db.ok()) << "corrupted image opened successfully";
   EXPECT_EQ(db.status().code(), code) << db.status().ToString();
@@ -279,8 +262,8 @@ TEST(StorageCorruptionTest, RepairedCrcReachesDecoderValidation) {
         SCOPED_TRACE(std::string(base.name) + ": decoder-level flip in " +
                      std::to_string(static_cast<uint32_t>(id)) + "+" +
                      std::to_string(delta));
-        const std::string path = TempPath("corrupt_scratch.pgri");
-        WriteFile(path, image);
+        const std::string path = ScratchPath("corrupt_scratch.pgri");
+        WriteFileBytes(path, image);
         auto db = Db::OpenIndex(base.spec, path);
         if (!db.ok()) {
           EXPECT_TRUE(db.status().code() == StatusCode::kDataLoss ||
@@ -342,8 +325,8 @@ TEST(StorageCorruptionTest, MismatchedFingerprint) {
 // fingerprint mismatch) names the disagreeing build field.
 TEST(StorageCorruptionTest, SpecMismatchIsNamed) {
   const DomainIndex& base = AllDomains().front();  // hamming, tau=6
-  const std::string path = TempPath("corrupt_spec.pgri");
-  WriteFile(path, base.image);
+  const std::string path = ScratchPath("corrupt_spec.pgri");
+  WriteFileBytes(path, base.image);
 
   IndexSpec wrong_tau = base.spec;
   wrong_tau.tau = 7;
@@ -384,7 +367,7 @@ TEST(StorageCorruptionTest, BadMagic) {
 TEST(StorageCorruptionTest, MissingPath) {
   const DomainIndex& base = AllDomains().front();
   auto db = Db::OpenIndex(base.spec,
-                          TempPath("does_not_exist") + "/nowhere.pgri");
+                          ScratchPath("does_not_exist") + "/nowhere.pgri");
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kNotFound)
       << db.status().ToString();
@@ -397,7 +380,7 @@ TEST(StorageCorruptionTest, RawDatasetIsNotAnIndex) {
   IndexSpec spec;
   spec.domain = Domain::kEdit;
   spec.tau = 1;
-  const std::string path = TempPath("raw_strings.ds");
+  const std::string path = ScratchPath("raw_strings.ds");
   {
     std::ofstream out(path, std::ios::trunc);
     out << "alpha\nalbha\nbeta\n";

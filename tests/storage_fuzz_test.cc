@@ -16,8 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,34 +27,14 @@
 #include "datagen/token_sets.h"
 #include "storage/crc32c.h"
 #include "storage/index_file.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string ScratchPath() {
-  return (fs::path(testing::TempDir()) / "fuzz_scratch.pgri").string();
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::vector<uint8_t> bytes;
-  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
-    bytes.push_back(static_cast<uint8_t>(*it));
-  }
-  return bytes;
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good());
-  if (!bytes.empty()) {
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-}
+using testing_util::ReadFileBytes;
+using testing_util::ScratchPath;
+using testing_util::WriteFileBytes;
 
 // Every open must settle to ok or a typed error; nothing else to assert —
 // the sanitizers and the process surviving are the test.
@@ -65,8 +43,8 @@ void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
   if (!reader.ok()) {
     EXPECT_FALSE(reader.status().message().empty());
   }
-  const std::string path = ScratchPath();
-  WriteFile(path, image);
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
+  WriteFileBytes(path, image);
   auto db = Db::OpenIndex(spec, path);
   if (!db.ok()) {
     EXPECT_FALSE(db.status().message().empty());
@@ -85,10 +63,10 @@ std::vector<uint8_t> BaseImage(IndexSpec& spec_out) {
   config.seed = 101;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   EXPECT_TRUE(db->Save(path).ok());
   spec_out = spec;
-  return ReadFile(path);
+  return ReadFileBytes(path);
 }
 
 TEST(StorageFuzzTest, RandomGarbageNeverCrashesTheParser) {
@@ -262,9 +240,9 @@ TEST(StorageFuzzTest, RepairedMutationsSetDomain) {
   config.seed = 102;
   auto db = Db::Open(spec, Dataset(datagen::GenerateTokenSets(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   ASSERT_TRUE(db->Save(path).ok());
-  const std::vector<uint8_t> base = ReadFile(path);
+  const std::vector<uint8_t> base = ReadFileBytes(path);
 
   auto reader = storage::IndexFileReader::OpenFromBuffer(base);
   ASSERT_TRUE(reader.ok());
@@ -327,9 +305,9 @@ TEST(StorageFuzzTest, RepairedMutationsEditFastDomain) {
   config.seed = 103;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   ASSERT_TRUE(db->Save(path).ok());
-  const std::vector<uint8_t> base = ReadFile(path);
+  const std::vector<uint8_t> base = ReadFileBytes(path);
 
   auto reader = storage::IndexFileReader::OpenFromBuffer(base);
   ASSERT_TRUE(reader.ok());

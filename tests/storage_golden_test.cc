@@ -9,11 +9,12 @@
 // Regenerating after an *intentional* format change:
 //   PIGEONRING_REGEN_GOLDEN=1 ./storage_golden_test
 // rewrites the committed files in the source tree, then re-verifies.
+// golden_hamming_sharded.pgri is the exception: an earlier release wrote
+// it, today's writer cannot, and regeneration leaves it alone.
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "api/db.h"
 #include "common/bitvector.h"
 #include "graphed/graph.h"
+#include "storage/index_file.h"
+#include "test_scratch.h"
 
 #ifndef PIGEONRING_TEST_DATA_DIR
 #error "build must define PIGEONRING_TEST_DATA_DIR (see tests/CMakeLists.txt)"
@@ -35,13 +38,6 @@ namespace fs = std::filesystem;
 
 std::string DataPath(const std::string& name) {
   return (fs::path(PIGEONRING_TEST_DATA_DIR) / name).string();
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
 }
 
 // The golden datasets are spelled out literally — they must never drift,
@@ -188,10 +184,10 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
         << " missing — run with PIGEONRING_REGEN_GOLDEN=1 to create it";
 
     // (b) Byte-stability: today's writer reproduces the committed bytes.
-    const std::string fresh_path =
-        (fs::path(testing::TempDir()) / c.file).string();
+    const std::string fresh_path = testing_util::ScratchPath(c.file);
     ASSERT_TRUE(built->Save(fresh_path).ok());
-    EXPECT_EQ(ReadFile(fresh_path), ReadFile(golden_path))
+    EXPECT_EQ(testing_util::ReadFileBytes(fresh_path),
+              testing_util::ReadFileBytes(golden_path))
         << c.file
         << " diverged from the current encoder. If the format change is "
            "intentional, bump storage::kFormatVersion and regenerate with "
@@ -219,6 +215,59 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
     EXPECT_EQ(join_b->pairs, join_a->pairs);
     EXPECT_EQ(join_b->stats.candidates, join_a->stats.candidates);
   }
+}
+
+// golden_hamming_sharded.pgri is golden_hamming's records and spec saved by
+// a release that still had in-process sharding, with two shards, so it
+// carries the now-reserved kShardMap section. Today's OpenIndex skips
+// that section and serves the file unsharded, answering exactly like
+// golden_hamming.pgri.
+TEST(StorageGoldenTest, ShardedSaveOfAnEarlierReleaseOpensUnsharded) {
+  const std::string legacy_path = DataPath("golden_hamming_sharded.pgri");
+  auto reader = storage::IndexFileReader::Open(legacy_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->HasSection(storage::SectionId::kShardMap));
+
+  const GoldenCase golden = std::move(GoldenCases().front());
+  ASSERT_EQ(golden.file, "golden_hamming.pgri");
+  auto legacy = Db::OpenIndex(golden.spec, legacy_path);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto current = Db::OpenIndex(golden.spec, DataPath(golden.file));
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  ASSERT_EQ(legacy->num_records(), current->num_records());
+
+  Session legacy_session = legacy->NewSession();
+  Session current_session = current->NewSession();
+  std::vector<Query> queries;
+  for (int id = 0; id < current->num_records(); ++id) {
+    auto query = current->RecordQuery(id);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto a = current_session.Search(*query);
+    auto b = legacy_session.Search(*query);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(b->ids, a->ids) << "record " << id;
+    EXPECT_EQ(b->stats.candidates, a->stats.candidates) << "record " << id;
+    queries.push_back(*std::move(query));
+  }
+  auto batch_a = current_session.SearchBatch(queries);
+  auto batch_b = legacy_session.SearchBatch(queries);
+  ASSERT_TRUE(batch_a.ok() && batch_b.ok());
+  EXPECT_EQ(batch_b->ids, batch_a->ids);
+  EXPECT_EQ(batch_b->stats.candidates, batch_a->stats.candidates);
+  EXPECT_EQ(batch_b->stats.index_hits, batch_a->stats.index_hits);
+
+  auto join_a = current_session.SelfJoin();
+  auto join_b = legacy_session.SelfJoin();
+  ASSERT_TRUE(join_a.ok() && join_b.ok());
+  EXPECT_FALSE(join_a->pairs.empty());
+  EXPECT_EQ(join_b->pairs, join_a->pairs);
+  EXPECT_EQ(join_b->stats.candidates, join_a->stats.candidates);
+
+  // Re-saving drops the reserved section: the bytes are the golden file's.
+  const std::string resaved = testing_util::ScratchPath("resaved.pgri");
+  ASSERT_TRUE(legacy->Save(resaved).ok());
+  EXPECT_EQ(testing_util::ReadFileBytes(resaved),
+            testing_util::ReadFileBytes(DataPath(golden.file)));
 }
 
 }  // namespace

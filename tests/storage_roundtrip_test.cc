@@ -6,8 +6,6 @@
 // are byte-identical) and the degenerate collections (empty, one record).
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,22 +19,13 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(testing::TempDir()) / name).string();
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
+using testing_util::ReadFileBytes;
+using testing_util::ScratchPath;
 
 std::vector<BitVector> MakeVectors(int n, int dim, uint64_t seed) {
   datagen::BinaryVectorConfig config;
@@ -162,7 +151,7 @@ TEST(StorageRoundtripTest, Hamming) {
   spec.num_parts = 8;
   auto built = Db::Open(spec, Dataset(MakeVectors(200, 64, 71)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_hamming.pgri"),
+  ExpectLoadedMatchesBuilt(*std::move(built), ScratchPath("rt_hamming.pgri"),
                            SampleIds(200));
 }
 
@@ -175,7 +164,7 @@ TEST(StorageRoundtripTest, Set) {
   spec.num_boxes = 5;
   auto built = Db::Open(spec, Dataset(MakeSets(150, 72)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_set.pgri"),
+  ExpectLoadedMatchesBuilt(*std::move(built), ScratchPath("rt_set.pgri"),
                            SampleIds(150));
 }
 
@@ -188,8 +177,8 @@ TEST(StorageRoundtripTest, SetOverlap) {
   spec.num_boxes = 4;
   auto built = Db::Open(spec, Dataset(MakeSets(120, 73)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_set_overlap.pgri"),
-                           SampleIds(120));
+  ExpectLoadedMatchesBuilt(*std::move(built),
+                           ScratchPath("rt_set_overlap.pgri"), SampleIds(120));
 }
 
 TEST(StorageRoundtripTest, Edit) {
@@ -200,7 +189,7 @@ TEST(StorageRoundtripTest, Edit) {
   spec.kappa = 2;
   auto built = Db::Open(spec, Dataset(MakeStrings(150, 74)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_edit.pgri"),
+  ExpectLoadedMatchesBuilt(*std::move(built), ScratchPath("rt_edit.pgri"),
                            SampleIds(150));
 }
 
@@ -214,7 +203,7 @@ TEST(StorageRoundtripTest, EditFastPath) {
   auto built = Db::Open(spec, Dataset(MakeFixedStrings(150, 12, 84)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ASSERT_EQ(built->spec().edit_fast_path, EditFastPath::kOn);
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_editfast.pgri"),
+  ExpectLoadedMatchesBuilt(*std::move(built), ScratchPath("rt_editfast.pgri"),
                            SampleIds(150));
 }
 
@@ -232,7 +221,7 @@ TEST(StorageRoundtripTest, EditFastPathFlagResolutionOnOpenIndex) {
   auto built = Db::Open(spec, Dataset(data));  // kAuto, eligible -> kOn
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ASSERT_EQ(built->spec().edit_fast_path, EditFastPath::kOn);
-  const std::string path = TempPath("rt_editfast_flag.pgri");
+  const std::string path = ScratchPath("rt_editfast_flag.pgri");
   ASSERT_TRUE(built->Save(path).ok());
 
   IndexSpec as_auto = spec;
@@ -255,7 +244,7 @@ TEST(StorageRoundtripTest, EditFastPathFlagResolutionOnOpenIndex) {
   off_build.edit_fast_path = EditFastPath::kOff;
   auto pivotal_built = Db::Open(off_build, Dataset(data));
   ASSERT_TRUE(pivotal_built.ok()) << pivotal_built.status().ToString();
-  const std::string pivotal_path = TempPath("rt_editoff_flag.pgri");
+  const std::string pivotal_path = ScratchPath("rt_editoff_flag.pgri");
   ASSERT_TRUE(pivotal_built->Save(pivotal_path).ok());
   auto on_over_off = Db::OpenIndex(as_on, pivotal_path);
   ASSERT_FALSE(on_over_off.ok());
@@ -274,16 +263,16 @@ TEST(StorageRoundtripTest, EditFastSaveIsDeterministic) {
   spec.edit_fast_path = EditFastPath::kOn;
   auto built = Db::Open(spec, Dataset(MakeFixedStrings(100, 9, 86)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string first = TempPath("det_fast_a.pgri");
-  const std::string second = TempPath("det_fast_b.pgri");
-  const std::string resaved = TempPath("det_fast_c.pgri");
+  const std::string first = ScratchPath("det_fast_a.pgri");
+  const std::string second = ScratchPath("det_fast_b.pgri");
+  const std::string resaved = ScratchPath("det_fast_c.pgri");
   ASSERT_TRUE(built->Save(first).ok());
   ASSERT_TRUE(built->Save(second).ok());
-  EXPECT_EQ(ReadFile(first), ReadFile(second));
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
   auto loaded = Db::OpenIndex(spec, first);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->Save(resaved).ok());
-  EXPECT_EQ(ReadFile(first), ReadFile(resaved));
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(resaved));
 }
 
 TEST(StorageRoundtripTest, EditFastEmptyAndSingleRecord) {
@@ -294,7 +283,7 @@ TEST(StorageRoundtripTest, EditFastEmptyAndSingleRecord) {
 
   auto empty = Db::Open(spec, Dataset(std::vector<std::string>{}));
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-  const std::string empty_path = TempPath("rt_editfast_empty.pgri");
+  const std::string empty_path = ScratchPath("rt_editfast_empty.pgri");
   ASSERT_TRUE(empty->Save(empty_path).ok());
   auto empty_loaded = Db::OpenIndex(spec, empty_path);
   ASSERT_TRUE(empty_loaded.ok()) << empty_loaded.status().ToString();
@@ -307,7 +296,7 @@ TEST(StorageRoundtripTest, EditFastEmptyAndSingleRecord) {
   auto single =
       Db::Open(spec, Dataset(std::vector<std::string>{"pigeonhole"}));
   ASSERT_TRUE(single.ok()) << single.status().ToString();
-  const std::string single_path = TempPath("rt_editfast_single.pgri");
+  const std::string single_path = ScratchPath("rt_editfast_single.pgri");
   ASSERT_TRUE(single->Save(single_path).ok());
   auto single_loaded = Db::OpenIndex(spec, single_path);
   ASSERT_TRUE(single_loaded.ok()) << single_loaded.status().ToString();
@@ -327,7 +316,7 @@ TEST(StorageRoundtripTest, Graph) {
   spec.chain_length = 2;
   auto built = Db::Open(spec, Dataset(MakeGraphs(60, 75)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectLoadedMatchesBuilt(*std::move(built), TempPath("rt_graph.pgri"),
+  ExpectLoadedMatchesBuilt(*std::move(built), ScratchPath("rt_graph.pgri"),
                            SampleIds(60));
 }
 
@@ -342,7 +331,7 @@ TEST(StorageRoundtripTest, RawQueriesThroughLoadedIndex) {
   const auto sets = MakeSets(150, 76);
   auto built = Db::Open(spec, Dataset(sets));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string path = TempPath("rt_set_raw.pgri");
+  const std::string path = ScratchPath("rt_set_raw.pgri");
   ASSERT_TRUE(built->Save(path).ok());
   auto loaded = Db::OpenIndex(spec, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -370,7 +359,7 @@ TEST(StorageRoundtripTest, OpenSniffsIndexFiles) {
   spec.num_parts = 8;
   auto built = Db::Open(spec, Dataset(MakeVectors(120, 64, 77)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string path = TempPath("rt_sniff.pgri");
+  const std::string path = ScratchPath("rt_sniff.pgri");
   ASSERT_TRUE(built->Save(path).ok());
 
   auto via_open = Db::Open(spec, path);
@@ -395,17 +384,17 @@ TEST(StorageRoundtripTest, SaveIsDeterministic) {
   auto built = Db::Open(spec, Dataset(MakeStrings(120, 78)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  const std::string first = TempPath("det_a.pgri");
-  const std::string second = TempPath("det_b.pgri");
-  const std::string resaved = TempPath("det_c.pgri");
+  const std::string first = ScratchPath("det_a.pgri");
+  const std::string second = ScratchPath("det_b.pgri");
+  const std::string resaved = ScratchPath("det_c.pgri");
   ASSERT_TRUE(built->Save(first).ok());
   ASSERT_TRUE(built->Save(second).ok());
-  EXPECT_EQ(ReadFile(first), ReadFile(second));
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
 
   auto loaded = Db::OpenIndex(spec, first);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->Save(resaved).ok());
-  EXPECT_EQ(ReadFile(first), ReadFile(resaved));
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(resaved));
 }
 
 // Degenerate collections: empty and single-record datasets must survive
@@ -438,7 +427,8 @@ TEST(StorageRoundtripTest, EmptyCollections) {
     SCOPED_TRACE(c.name);
     auto built = Db::Open(c.spec, std::move(c.dataset));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    const std::string path = TempPath(std::string("empty_") + c.name + ".pgri");
+    const std::string path =
+        ScratchPath(std::string("empty_") + c.name + ".pgri");
     ASSERT_TRUE(built->Save(path).ok());
     auto loaded = Db::OpenIndex(c.spec, path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -488,7 +478,7 @@ TEST(StorageRoundtripTest, ZeroRecordStatesGrowThroughWriters) {
     auto built = Db::Open(c.spec, std::move(c.empty));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const std::string empty_path =
-        TempPath(std::string("grow_empty_") + c.name + ".pgri");
+        ScratchPath(std::string("grow_empty_") + c.name + ".pgri");
     ASSERT_TRUE(built->Save(empty_path).ok());
 
     auto loaded = Db::OpenIndex(c.spec, empty_path);
@@ -515,7 +505,7 @@ TEST(StorageRoundtripTest, ZeroRecordStatesGrowThroughWriters) {
       EXPECT_EQ(*id, i);
     }
     const std::string grown_path =
-        TempPath(std::string("grow_full_") + c.name + ".pgri");
+        ScratchPath(std::string("grow_full_") + c.name + ".pgri");
     ASSERT_TRUE(loaded->Save(grown_path).ok());
 
     // Reference: the same records built cold. Note the grown index's
@@ -525,9 +515,9 @@ TEST(StorageRoundtripTest, ZeroRecordStatesGrowThroughWriters) {
     auto cold = Db::Open(c.spec, std::move(c.records));
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     const std::string cold_path =
-        TempPath(std::string("grow_cold_") + c.name + ".pgri");
+        ScratchPath(std::string("grow_cold_") + c.name + ".pgri");
     ASSERT_TRUE(cold->Save(cold_path).ok());
-    EXPECT_EQ(ReadFile(grown_path), ReadFile(cold_path));
+    EXPECT_EQ(ReadFileBytes(grown_path), ReadFileBytes(cold_path));
 
     auto reopened = Db::OpenIndex(c.spec, grown_path);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -548,7 +538,7 @@ TEST(StorageRoundtripTest, EmptyEditIndexPersistsItsResolvedFastPath) {
   auto built = Db::Open(spec, Dataset(std::vector<std::string>{}));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ASSERT_EQ(built->spec().edit_fast_path, EditFastPath::kOff);
-  const std::string path = TempPath("rt_empty_edit_auto.pgri");
+  const std::string path = ScratchPath("rt_empty_edit_auto.pgri");
   ASSERT_TRUE(built->Save(path).ok());
 
   auto adopted = Db::OpenIndex(spec, path);
@@ -572,7 +562,7 @@ TEST(StorageRoundtripTest, EmptyEditIndexPersistsItsResolvedFastPath) {
   // through save/load: the first insert into the reload fixes the length.
   auto on_built = Db::Open(as_on, Dataset(std::vector<std::string>{}));
   ASSERT_TRUE(on_built.ok()) << on_built.status().ToString();
-  const std::string on_path = TempPath("rt_empty_edit_on.pgri");
+  const std::string on_path = ScratchPath("rt_empty_edit_on.pgri");
   ASSERT_TRUE(on_built->Save(on_path).ok());
   auto on_loaded = Db::OpenIndex(spec, on_path);  // kAuto adopts kOn
   ASSERT_TRUE(on_loaded.ok()) << on_loaded.status().ToString();
@@ -617,7 +607,7 @@ TEST(StorageRoundtripTest, SingleRecordCollections) {
     auto built = Db::Open(c.spec, std::move(c.dataset));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const std::string path =
-        TempPath(std::string("single_") + c.name + ".pgri");
+        ScratchPath(std::string("single_") + c.name + ".pgri");
     ASSERT_TRUE(built->Save(path).ok());
     auto loaded = Db::OpenIndex(c.spec, path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -648,7 +638,7 @@ TEST(StorageRoundtripTest, QueryTimeKnobsMayDiffer) {
   build_spec.num_threads = 1;
   auto built = Db::Open(build_spec, Dataset(MakeVectors(200, 64, 81)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string path = TempPath("rt_knobs.pgri");
+  const std::string path = ScratchPath("rt_knobs.pgri");
   ASSERT_TRUE(built->Save(path).ok());
 
   IndexSpec serve_spec = build_spec;

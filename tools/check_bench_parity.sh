@@ -13,9 +13,8 @@
 # and is ignored.
 #
 # Engine-scaling dumps additionally have a *presence* requirement: the
-# net panel's `net_matches_inprocess` and the shard panel's
-# `shard_matches_unsharded` verdicts must exist. A refactor that
-# silently drops a panel would otherwise pass the false-scan (nothing
+# net panel's `net_matches_inprocess` verdict must exist. A refactor that
+# silently drops the panel would otherwise pass the false-scan (nothing
 # false in a field that is not there) while its identity check quietly
 # stops running.
 #
@@ -50,11 +49,6 @@ for f in $files; do
     *engine_scaling*)
       if ! grep -q '"net_matches_inprocess":' "$f"; then
         echo "check_bench_parity: $f is missing the net panel verdict (net_matches_inprocess)" >&2
-        status=1
-        continue
-      fi
-      if ! grep -q '"shard_matches_unsharded":' "$f"; then
-        echo "check_bench_parity: $f is missing the shard panel verdict (shard_matches_unsharded)" >&2
         status=1
         continue
       fi

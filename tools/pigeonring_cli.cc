@@ -7,17 +7,17 @@
 //       [--n N] [--seed S] [--dim D] [--bias B] [--avg A] [--fixed L]
 //   pigeonring_cli build  <hamming|sets|strings|graphs> --data FILE
 //       --out INDEX --tau T [--measure jaccard|overlap] [--kappa K]
-//       [--fast-path auto|on|off] [--shards S]
+//       [--fast-path auto|on|off]
 //   pigeonring_cli search <hamming|sets|strings|graphs>
 //       (--data FILE | --index INDEX)
 //       --tau T [--chain L] [--queries N] [--measure jaccard|overlap]
 //       [--kappa K] [--fast-path auto|on|off] [--alloc uniform|costmodel]
-//       [--threads N] [--clients N] [--shards S] [--stats kv]
+//       [--threads N] [--clients N] [--stats kv]
 //   pigeonring_cli join <hamming|sets|strings|graphs>
 //       (--data FILE | --index INDEX)
 //       --tau T [--chain L] [--measure jaccard|overlap] [--kappa K]
 //       [--fast-path auto|on|off] [--alloc uniform|costmodel] [--threads N]
-//       [--clients N] [--shards S] [--stats kv] [--print N]
+//       [--clients N] [--stats kv] [--print N]
 //   pigeonring_cli insert <hamming|sets|strings|graphs> --index INDEX
 //       --data FILE --tau T [--out INDEX2]
 //       [--measure jaccard|overlap] [--kappa K] [--fast-path auto|on|off]
@@ -31,14 +31,7 @@
 //       (--data FILE | --index INDEX) --tau T [--chain L] [--port P]
 //       [--host H] [--max-inflight N] [--measure jaccard|overlap]
 //       [--kappa K] [--fast-path auto|on|off] [--alloc uniform|costmodel]
-//       [--threads N] [--shards S]
-//
-// --shards S (build/search/join/serve) partitions the collection into S
-// round-robin shards executed scatter-gather (src/shard/): results stay
-// byte-identical to --shards 1 at any S. `build --shards` persists the
-// placement in the index file; opening such an index re-adopts it unless
-// an explicit --shards overrides. S is a serving-time knob, not part of
-// the index fingerprint, so it never conflicts like --tau does.
+//       [--threads N]
 //
 // `serve` opens the database like search/join and exposes it over TCP via
 // the net/ subsystem's length-prefixed binary protocol (net/protocol.h).
@@ -84,12 +77,14 @@
 // --chain 1 every command runs the pigeonhole baseline; larger values
 // enable the pigeonring filter. Both commands build an api::IndexSpec from
 // the flags and run through api::Db + api::Session — the same facade
-// library users get: --threads N shards each call over N threads,
+// library users get: --threads N spreads each call over N threads,
 // --clients N runs the workload from N concurrent client threads (one
 // Session each) over one shared Db and verifies their results are
 // byte-identical (exit 1 otherwise) — results never depend on either
 // flag. --stats kv replaces the human-readable summary with
-// machine-readable key=value lines; stat.millis sums per-query times,
+// machine-readable key=value lines; search's stat.query_millis_sum sums
+// per-query times (so it exceeds the wall clock when queries run in
+// parallel), join's stat.join_millis is one client's join driver time, and
 // stat.wall_millis is true wall clock over ALL clients' requests (for
 // search, stat.served_queries / stat.wall_millis is the throughput —
 // with N clients the wall covers N executions of the batch).
@@ -145,23 +140,22 @@ void Usage() {
       "  pigeonring_cli build  <hamming|sets|strings|graphs> --data FILE\n"
       "                        --out INDEX --tau T\n"
       "                        [--measure jaccard|overlap] [--kappa K]\n"
-      "                        [--fast-path auto|on|off] [--shards S]\n"
+      "                        [--fast-path auto|on|off]\n"
       "  pigeonring_cli search <hamming|sets|strings|graphs>\n"
       "                        (--data FILE | --index INDEX)\n"
       "                        --tau T [--chain L] [--queries N] [--seed S]\n"
       "                        [--measure jaccard|overlap] [--kappa K]\n"
       "                        [--fast-path auto|on|off]\n"
       "                        [--alloc uniform|costmodel]\n"
-      "                        [--threads N] [--clients N] [--shards S]\n"
-      "                        [--stats kv]\n"
+      "                        [--threads N] [--clients N] [--stats kv]\n"
       "  pigeonring_cli join   <hamming|sets|strings|graphs>\n"
       "                        (--data FILE | --index INDEX)\n"
       "                        --tau T [--chain L]\n"
       "                        [--measure jaccard|overlap] [--kappa K]\n"
       "                        [--fast-path auto|on|off]\n"
       "                        [--alloc uniform|costmodel]\n"
-      "                        [--threads N] [--clients N] [--shards S]\n"
-      "                        [--stats kv] [--print N]\n"
+      "                        [--threads N] [--clients N] [--stats kv]\n"
+      "                        [--print N]\n"
       "  pigeonring_cli insert <hamming|sets|strings|graphs> --index INDEX\n"
       "                        --data FILE --tau T [--out INDEX2]\n"
       "                        [--measure jaccard|overlap] [--kappa K]\n"
@@ -181,8 +175,7 @@ void Usage() {
       "                        [--max-inflight N]\n"
       "                        [--measure jaccard|overlap] [--kappa K]\n"
       "                        [--fast-path auto|on|off]\n"
-      "                        [--alloc uniform|costmodel] [--threads N]\n"
-      "                        [--shards S]\n");
+      "                        [--alloc uniform|costmodel] [--threads N]\n");
   std::exit(2);
 }
 
@@ -201,7 +194,7 @@ std::set<std::string> AllowedFlags(const std::string& command,
     return allowed;
   }
   if (command == "build") {
-    std::set<std::string> allowed = {"data", "out", "tau", "shards"};
+    std::set<std::string> allowed = {"data", "out", "tau"};
     if (kind == "sets") allowed.insert("measure");
     if (kind == "strings") {
       allowed.insert("kappa");
@@ -221,9 +214,9 @@ std::set<std::string> AllowedFlags(const std::string& command,
     return allowed;
   }
   if (command == "serve") {
-    std::set<std::string> allowed = {"data",   "index",        "tau",
-                                     "chain",  "threads",      "port",
-                                     "host",   "max-inflight", "shards"};
+    std::set<std::string> allowed = {"data",  "index",   "tau",
+                                     "chain", "threads", "port",
+                                     "host",  "max-inflight"};
     if (kind == "hamming") allowed.insert("alloc");
     if (kind == "sets") allowed.insert("measure");
     if (kind == "strings") {
@@ -232,9 +225,9 @@ std::set<std::string> AllowedFlags(const std::string& command,
     }
     return allowed;
   }
-  std::set<std::string> allowed = {"data",    "index",   "tau",     "chain",
-                                   "seed",    "threads", "clients", "stats",
-                                   "shards"};
+  std::set<std::string> allowed = {"data",    "index",   "tau",
+                                   "chain",   "seed",    "threads",
+                                   "clients", "stats"};
   if (command == "search") allowed.insert("queries");
   if (command == "join") allowed.insert("print");
   if (kind == "hamming") allowed.insert("alloc");
@@ -355,7 +348,6 @@ int RunBuild(const std::string& kind, const Flags& flags) {
   spec.domain = domain.value();
   spec.tau = flags.RequireDouble("tau");
   spec.kappa = static_cast<int>(flags.GetInt("kappa", 2));
-  spec.shards = static_cast<int>(flags.GetInt("shards", 1));
   if (spec.domain == api::Domain::kEdit) {
     spec.edit_fast_path = FastPathFromFlags(flags);
   }
@@ -528,7 +520,6 @@ api::IndexSpec SpecFromFlags(const std::string& kind, const Flags& flags,
       static_cast<int>(flags.GetInt("chain", default_chain));
   spec.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   spec.kappa = static_cast<int>(flags.GetInt("kappa", 2));
-  spec.shards = static_cast<int>(flags.GetInt("shards", 1));
   if (spec.domain == api::Domain::kEdit) {
     spec.edit_fast_path = FastPathFromFlags(flags);
   }
@@ -654,7 +645,7 @@ int RunSearch(const std::string& kind, const Flags& flags) {
       std::printf("stat.fast_path_hits=%lld\n",
                   static_cast<long long>(totals.fast_path_hits));
     }
-    std::printf("stat.millis=%.4f\n", totals.total_millis);
+    std::printf("stat.query_millis_sum=%.4f\n", totals.total_millis);
     std::printf("stat.wall_millis=%.4f\n", wall_millis);
   } else {
     Table table("search " + kind + " tau=" + flags.Require("tau") +
@@ -707,7 +698,7 @@ int RunJoin(const std::string& kind, const Flags& flags) {
       std::printf("stat.fast_path=%s\n",
                   api::EditFastPathName(db.spec().edit_fast_path));
     }
-    std::printf("stat.millis=%.4f\n", stats.total_millis);
+    std::printf("stat.join_millis=%.4f\n", stats.total_millis);
     std::printf("stat.wall_millis=%.4f\n", wall_millis);
   } else {
     std::printf(
